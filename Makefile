@@ -29,13 +29,14 @@ chaos:  ## fault-injected run (sanitized) + chaos determinism smoke
 test:  ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
 
-parity:  ## scalar/columnar hot-path parity suite (bit-identity oracle)
+parity:  ## hot-path parity suite (scalar/columnar and placement LP bit-identity oracles)
 	$(PYTHON) -m pytest -q tests/engine/test_columnar_parity.py \
 		tests/similarity/test_columnar_parity.py \
-		tests/placement/test_warm_start.py
+		tests/placement/test_warm_start.py \
+		tests/placement/test_lp_parity.py
 
 bench-smoke:  ## smoke benchmarks vs the committed baseline (sim gate only)
-	$(PYTHON) -m repro bench --suite smoke --compare BENCH_4.json \
+	$(PYTHON) -m repro bench --suite smoke --compare BENCH_5.json \
 		--ignore-wall --out bench_smoke.json
 
 serve-smoke:  ## two same-seed serve runs: bit-identical sim + analyzer digests

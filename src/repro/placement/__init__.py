@@ -4,8 +4,8 @@
 - :mod:`~repro.placement.lp` — the LP of equations (2)–(7); since the
   objective couples ``r_i`` with ``x_{i,j}`` bilinearly, the joint solver
   alternates two exact LPs (x given r, r given x) to a fixed point.
-- :mod:`~repro.placement.solver` — scipy backend plus a pure-Python
-  two-phase simplex fallback.
+- :mod:`~repro.placement.solver` — HiGHS through scipy's binding plus a
+  pure-Python two-phase simplex fallback.
 - :mod:`~repro.placement.iridium` — the Iridium baseline: separate
   task-placement LP and greedy high-value data movement heuristic [27].
 - :mod:`~repro.placement.plan` — executing a plan against real shards,

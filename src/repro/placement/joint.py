@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.placement.lp import (
+    DataLpTemplate,
     Moves,
     shuffle_bytes_after_moves,
     solve_data_lp,
@@ -109,13 +110,15 @@ class JointPlanner:
                 best_basis = list(solution_h.basis_names)
             starts.append(dict(fractions_h))
 
+        # Every data LP below shares this problem's variables and rows.
+        template = DataLpTemplate(problem)
         for start in starts:
             fractions = dict(start)
             previous_t = float("inf")
             for _ in range(self.max_rounds):
                 total_rounds += 1
                 moves, _, data_solution = solve_data_lp(
-                    problem, fractions, backend=self.backend
+                    problem, fractions, backend=self.backend, template=template
                 )
                 solve_seconds += data_solution.solve_seconds
                 volumes = shuffle_bytes_after_moves(problem, moves)

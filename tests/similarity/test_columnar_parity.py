@@ -2,7 +2,7 @@
 empty-set regression pins.
 
 :func:`MinHasher.signatures` and :func:`dimsum_similarity_matrix` are
-batched rewrites of retained scalar references; randomized workloads
+batched rewrites of the scalar references kept below; randomized workloads
 (varied seeds, skews, empty partitions) must match them bit-for-bit —
 identical signature tuples, identical matrices, identical stats, and an
 identical RNG consumption order.
@@ -13,6 +13,7 @@ its Jaccard similarity with anything (including another empty set) is
 empty signatures collide with each other at similarity 1.0.
 """
 
+import math
 import random
 
 import numpy as np
@@ -21,12 +22,58 @@ import pytest
 from repro.similarity import minhash as minhash_mod
 from repro.similarity.dimsum import (
     DimsumConfig,
+    DimsumStats,
     dimsum_similarity_matrix,
-    dimsum_similarity_matrix_scalar,
     exact_similarity_matrix,
 )
 from repro.similarity.metrics import jaccard
 from repro.similarity.minhash import MinHasher
+from repro.util.rng import derive_rng
+
+
+def signatures_scalar(hasher, sets):
+    """Per-set reference implementation of :meth:`MinHasher.signatures`."""
+    return [hasher.signature(items) for items in sets]
+
+
+def dimsum_similarity_matrix_scalar(partitions, config=DimsumConfig()):
+    """Per-pair reference implementation of :func:`dimsum_similarity_matrix`.
+
+    Draws one uniform per pair in upper-triangle order — the
+    consumption-order contract the vectorized path reproduces.
+    """
+    n = len(partitions)
+    matrix = np.eye(n, dtype=float)
+    stats = DimsumStats()
+    if n < 2:
+        return matrix, stats
+
+    hasher = MinHasher(num_hashes=config.num_hashes, seed=config.seed)
+    signatures = signatures_scalar(hasher, partitions)
+    sizes = [max(len(partition), 1) for partition in partitions]
+    rng = derive_rng(config.seed, "dimsum-sampling")
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            stats.pairs_total += 1
+            # DIMSUM sampling rule: examine with prob min(1, γ/sqrt(ni·nj)).
+            probability = min(1.0, config.gamma / math.sqrt(sizes[i] * sizes[j]))
+            if rng.random() > probability:
+                stats.pairs_skipped += 1
+                continue
+            stats.pairs_examined += 1
+            if not partitions[i] or not partitions[j]:
+                # Empty partitions share no keys with anything — including
+                # each other (set-based jaccard would report ∅ vs ∅ as 1.0).
+                continue
+            small = min(len(partitions[i]), len(partitions[j]))
+            if small < config.exact_below:
+                similarity = jaccard(partitions[i], partitions[j])
+            else:
+                # Map/reduce estimate: fraction of colliding hash slots.
+                similarity = signatures[i].estimate_jaccard(signatures[j])
+            matrix[i, j] = matrix[j, i] = similarity
+    return matrix, stats
 
 
 def random_sets(rng, count):
@@ -47,7 +94,7 @@ class TestSignatureParity:
             )
             sets = random_sets(rng, rng.choice([0, 1, 2, 7, 30]))
             batched = hasher.signatures(sets)
-            scalar = hasher.signatures_scalar(sets)
+            scalar = signatures_scalar(hasher, sets)
             assert [s.values for s in batched] == [s.values for s in scalar]
             assert [s.values for s in batched] == [
                 hasher.signature(item).values for item in sets
